@@ -53,7 +53,7 @@ print(f"I_6 estimate: {est.value:.4f} +/- {est.stderr:.4f} "
 # Certify from the analyzed trials only.
 # ---------------------------------------------------------------------------
 sel = extract_analysis_trials(log, protocol)
-t = sum(t_statistic(r, params) for r in sel.trials)
+t = int(t_statistic(sel.trials, params).sum())  # one score per analyzed trial
 print(f"analyzed trials: {sel.n} "
       f"({sel.discarded_unheralded} discarded by heralding)")
 print(f"score sum t = {t}")

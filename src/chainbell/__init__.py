@@ -9,7 +9,9 @@ from .chain import (
     ChainParams,
     PairStats,
     SettingPair,
+    TrialLog,
     TrialRecord,
+    as_trial_log,
     c_statistic,
     chain_estimate,
     chain_estimate_from_stats,
@@ -40,7 +42,6 @@ from .mixtures import (
     check_nonsignaling,
     distribution_chain_value,
     minimal_local,
-    mixture_probabilities,
     uniform_local,
 )
 from .quantum import (

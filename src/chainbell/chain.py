@@ -14,11 +14,15 @@ Local hidden-variable models obey I_N >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
+
+import numpy as np
 
 BRIGHT = "B"
 DARK = "D"
+# Outcome (a, b) of index 0..3, the column order of every outcome table.
+OUTCOMES = ((BRIGHT, BRIGHT), (BRIGHT, DARK), (DARK, BRIGHT), (DARK, DARK))
 
 Mode = Literal["correlation", "anticorrelation"]
 
@@ -69,12 +73,6 @@ class SettingPair:
         return (self.a_index, self.b_index)
 
 
-def _is_admissible(N: int, k: int, l: int) -> bool:
-    if not (1 <= k <= N and 1 <= l <= N):
-        return False
-    return l == k or l == k + 1 or (k, l) == (N, 1)
-
-
 def is_closing_pair(params: ChainParams, k: int, l: int) -> bool:
     """True for the chain-closing pair (a_N, b_1)."""
     return (k, l) == (params.N, 1)
@@ -82,7 +80,8 @@ def is_closing_pair(params: ChainParams, k: int, l: int) -> bool:
 
 def make_pair(params: ChainParams, k: int, l: int) -> SettingPair:
     """Build the setting pair (a_k, b_l), rejecting inadmissible index pairs."""
-    if not _is_admissible(params.N, k, l):
+    N = params.N
+    if not (1 <= k <= N and 1 <= l <= N and (l in (k, k + 1) or (k, l) == (N, 1))):
         raise ValueError(
             f"setting pair (a_{k}, b_{l}) is not admissible for N={params.N}"
         )
@@ -126,29 +125,106 @@ class TrialRecord:
             raise ValueError(f"outcome_b must be 'B' or 'D', got {self.outcome_b!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class TrialLog:
+    """A trial log stored as one array per column.
+
+    Row ``i`` is trial ``trial_index[i]`` of block ``block_index[i]``, with
+    setting pair ``pairs[pair_idx[i]]``, outcome ``OUTCOMES[outcome_idx[i]]``
+    and check counts ``checks[check_pos[i]:check_pos[i] + g]``: consecutive
+    trials' windows overlap, so a run of n trials stores one stream of n + g
+    counts.  It behaves as a list of TrialRecord: ``log[i]`` is a row view,
+    and a slice, mask or index array gives a TrialLog of those rows.
+    """
+
+    pairs: tuple[SettingPair, ...]
+    trial_index: np.ndarray
+    block_index: np.ndarray
+    pair_idx: np.ndarray
+    outcome_idx: np.ndarray
+    heralded: np.ndarray
+    checks: np.ndarray
+    check_pos: np.ndarray
+    g: int
+    _ROWS = ("trial_index", "block_index", "pair_idx", "outcome_idx", "heralded", "check_pos")
+
+    @classmethod
+    def from_windows(cls, pairs, trial, block, pair_idx, outcome_idx, heralded, windows):
+        """A log from its columns and (n, g) check windows, shared where they slide by one."""
+        n, g = windows.shape
+        if n and g and np.array_equal(windows[1:, :-1], windows[:-1, 1:]):
+            checks, check_pos = np.concatenate([windows[0], windows[1:, -1]]), np.arange(n)
+        else:
+            checks, check_pos = windows.ravel(), np.arange(n) * g
+        return cls(tuple(pairs), trial, block, pair_idx.astype(np.min_scalar_type(len(pairs))),
+                   outcome_idx.astype(np.uint8), heralded.astype(bool), checks, check_pos, g)
+
+    def __len__(self) -> int:
+        return len(self.trial_index)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return next(iter(self[i : i + 1]))
+        return replace(self, **{name: getattr(self, name)[key] for name in self._ROWS})
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in self._ROWS)
+        for trial, block, pair, outcome, heralded, pos in zip(*columns):
+            yield TrialRecord(trial, block, self.pairs[pair], *OUTCOMES[outcome], heralded,
+                              tuple(self.checks[pos : pos + self.g].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TrialLog, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def as_trial_log(trials: TrialLog | Iterable[TrialRecord]) -> TrialLog:
+    """A TrialLog as it is; any other iterable of TrialRecord converted once."""
+    if isinstance(trials, TrialLog):
+        return trials
+    records = list(trials)
+    g = len(records[0].check_counts) if records else 0
+    if any(len(r.check_counts) != g for r in records):
+        raise ValueError("every record must carry the same number of check counts")
+    pairs: dict[SettingPair, int] = {}
+    table = np.array([
+        (r.trial_index, r.block_index, pairs.setdefault(r.pair, len(pairs)),
+         OUTCOMES.index((r.outcome_a, r.outcome_b)), r.heralded, *r.check_counts)
+        for r in records
+    ], dtype=np.int64).reshape(-1, 5 + g)
+    return TrialLog.from_windows(pairs, *table[:, :5].T, table[:, 5:])
+
+
+def _chain_rows(pairs: Sequence[SettingPair], used: np.ndarray, params: ChainParams) -> np.ndarray:
+    """Chain-order row of each used pair (-1 if unused); an inadmissible used pair raises."""
+    rows = np.full(len(pairs), -1)
+    for j in np.flatnonzero(used):
+        k, l = make_pair(params, *pairs[j].key).key
+        rows[j] = 2 * (k - 1) + (l != k)
+    return rows
+
+
 def c_statistic(x: str, y: str) -> int:
     """c(x, y) = 1 if the two outcomes are equal, else 0."""
     return 1 if x == y else 0
 
 
-def t_statistic(trial: TrialRecord, params: ChainParams, mode: Mode = "correlation") -> int:
+def t_statistic(trial, params: ChainParams, mode: Mode = "correlation"):
     """Per-trial binary score used by the memory-robust analysis.
 
     In correlation mode (state Phi+): 1 iff the outcomes differ, except on
     the closing pair (a_N, b_1) where it is 1 iff they agree.  Anticorrelation
-    mode (state Phi-) flips all four cases.
+    mode (state Phi-) flips all four cases.  A TrialRecord gives an int; a
+    TrialLog (or sequence of records) gives an int array, one score per row.
     """
-    k, l = trial.pair.a_index, trial.pair.b_index
-    if not _is_admissible(params.N, k, l):
-        raise ValueError(
-            f"setting pair (a_{k}, b_{l}) is not admissible for N={params.N}"
-        )
-    c = c_statistic(trial.outcome_a, trial.outcome_b)
-    closing = is_closing_pair(params, k, l)
-    t = c if closing else 1 - c
-    if mode == "anticorrelation":
-        t = 1 - t
-    return t
+    log = as_trial_log([trial] if isinstance(trial, TrialRecord) else trial)
+    used = np.bincount(log.pair_idx, minlength=len(log.pairs)) > 0
+    closing = _chain_rows(log.pairs, used, params) == params.n_pairs - 1
+    differ = (log.outcome_idx == 1) | (log.outcome_idx == 2)
+    t = (closing[log.pair_idx] != differ) ^ (mode == "anticorrelation")
+    return int(t[0]) if isinstance(trial, TrialRecord) else t.astype(np.int64)
 
 
 @dataclass
@@ -184,34 +260,33 @@ class ChainEstimate:
 
 
 def pair_stats_from_log(
-    log: Iterable[TrialRecord],
+    log: TrialLog | Iterable[TrialRecord],
     params: ChainParams,
     mode: Mode = "correlation",
     include_unheralded: bool = False,
 ) -> dict[tuple[int, int], PairStats]:
     """Aggregate a trial log into per-pair counts and mean (anti)correlations.
 
-    Unheralded trials are excluded unless ``include_unheralded`` is set.
+    One bincount over (pair, outcome) cells gives the 2N x 4 outcome-count
+    table.  Unheralded trials are excluded unless ``include_unheralded`` is set.
     """
-    counts: dict[tuple[int, int], int] = {}
-    sums: dict[tuple[int, int], int] = {}
-    for trial in log:
-        if not trial.heralded and not include_unheralded:
-            continue
-        k, l = trial.pair.a_index, trial.pair.b_index
-        if not _is_admissible(params.N, k, l):
-            raise ValueError(
-                f"setting pair (a_{k}, b_{l}) is not admissible for N={params.N}"
-            )
-        c = c_statistic(trial.outcome_a, trial.outcome_b)
-        if mode == "anticorrelation":
-            c = 1 - c
-        key = (k, l)
-        counts[key] = counts.get(key, 0) + 1
-        sums[key] = sums.get(key, 0) + c
+    log = as_trial_log(log)
+    keep = slice(None) if include_unheralded else log.heralded
+    cells = np.bincount(
+        log.pair_idx[keep].astype(np.intp) * 4 + log.outcome_idx[keep],
+        minlength=4 * len(log.pairs),
+    ).reshape(-1, 4)
+    used = cells.any(axis=1)
+    table = np.zeros((params.n_pairs, 4), dtype=np.int64)
+    np.add.at(table, _chain_rows(log.pairs, used, params)[used], cells[used])
+    counts = table.sum(axis=1)
+    agree = table[:, 0] + table[:, 3]
+    if mode == "anticorrelation":
+        agree = counts - agree
     return {
-        key: PairStats(count=counts[key], mean=sums[key] / counts[key])
-        for key in counts
+        pair.key: PairStats(count=c, mean=a / c)
+        for pair, c, a in zip(settings_set(params), counts.tolist(), agree.tolist())
+        if c
     }
 
 
@@ -252,7 +327,7 @@ def chain_estimate_from_stats(
 
 
 def chain_estimate(
-    log: Sequence[TrialRecord],
+    log: TrialLog | Iterable[TrialRecord],
     params: ChainParams,
     mode: Mode = "correlation",
     include_unheralded: bool = False,

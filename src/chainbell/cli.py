@@ -29,6 +29,7 @@ with schedule types constant/ramp/outcome_reactive/block_periodic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -44,15 +45,7 @@ from .chain import (
 )
 from .certify import local_content_bound
 from .logfile import LogFormatError, LogHeader, read_log, write_log
-from .mixtures import (
-    BlockPeriodicSchedule,
-    ConstantSchedule,
-    MixtureModel,
-    OutcomeReactiveSchedule,
-    RampSchedule,
-    minimal_local,
-    uniform_local,
-)
+from .mixtures import MixtureModel, minimal_local, uniform_local
 from .quantum import NoiseSpec, ideal_chain_value, phi_minus, phi_plus, self_test_fidelity
 from .simulate import (
     CollisionSpec,
@@ -61,6 +54,7 @@ from .simulate import (
     MixtureSource,
     ProtocolSpec,
     QuantumSource,
+    adversary_schedules,
     extract_analysis_trials,
     run_protocol,
 )
@@ -92,53 +86,40 @@ def _take(cfg: dict, field: str, default):
     return value
 
 
-def _build_schedule(cfg: dict):
-    kind = cfg.get("type")
-    if kind == "constant":
-        return ConstantSchedule(_take(cfg, "q", 1.0))
-    if kind == "ramp":
-        return RampSchedule(_take(cfg, "q0", 0.0), _take(cfg, "q1", 1.0), int(_take(cfg, "n_trials", 1000)))
-    if kind == "outcome_reactive":
-        return OutcomeReactiveSchedule(
-            _take(cfg, "base", 0.5), _take(cfg, "step", 0.1), int(_take(cfg, "run_length", 3))
-        )
-    if kind == "block_periodic":
-        return BlockPeriodicSchedule(
-            _take(cfg, "q_min", 0.3), _take(cfg, "q_max", 1.0), int(_take(cfg, "period", 100))
-        )
-    raise ConfigError(f"field 'source.schedule.type' has unknown value {kind!r}")
+def _spec(name: str, build, cfg: dict, **defaults):
+    """build(**fields): each field read from cfg or defaulted, ints cast to int."""
+    try:
+        return build(**{
+            f: int(_take(cfg, f, d)) if isinstance(d, int) else _take(cfg, f, d)
+            for f, d in defaults.items()
+        })
+    except ValueError as exc:
+        raise ConfigError(f"field {name!r}: {exc}")
+
+
+def _choice(cfg: dict, field: str, default, options: dict, name: str):
+    value = cfg.get(field, default)
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(f"field {name!r} has unknown value {value!r}")
+    return options[value]
 
 
 def _build_source(cfg: dict, params: ChainParams):
     kind = cfg.get("type", "quantum")
     if kind == "quantum":
-        state_name = cfg.get("state", "phi_plus")
-        if state_name == "phi_plus":
-            state = phi_plus()
-        elif state_name == "phi_minus":
-            state = phi_minus()
-        else:
-            raise ConfigError(f"field 'source.state' has unknown value {state_name!r}")
-        ncfg = cfg.get("noise", {})
-        try:
-            noise = NoiseSpec(
-                detection_flip_a=_take(ncfg, "detection_flip_a", 0.0),
-                detection_flip_b=_take(ncfg, "detection_flip_b", 0.0),
-                state_fidelity_mix=_take(ncfg, "state_fidelity_mix", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"field 'source.noise': {exc}")
-        return QuantumSource(state, noise)
+        states = {"phi_plus": phi_plus, "phi_minus": phi_minus}
+        state = _choice(cfg, "state", "phi_plus", states, "source.state")
+        noise = _spec("source.noise", NoiseSpec, cfg.get("noise", {}), detection_flip_a=0.0,
+                      detection_flip_b=0.0, state_fidelity_mix=0.0)
+        return QuantumSource(state(), noise)
     if kind == "mixture":
-        schedule = _build_schedule(cfg.get("schedule", {"type": "constant", "q": 1.0}))
-        local_name = cfg.get("local", "uniform")
-        if local_name == "uniform":
-            local = uniform_local(params.N)
-        elif local_name == "minimal":
-            local = minimal_local(params.N)
-        else:
-            raise ConfigError(f"field 'source.local' has unknown value {local_name!r}")
-        return MixtureSource(MixtureModel(params, schedule, local))
+        scfg = cfg.get("schedule", {"type": "constant", "q": 1.0})
+        build = _choice(scfg, "type", None, adversary_schedules(), "source.schedule.type")
+        defaults = {f.name: f.default for f in dataclasses.fields(build)}
+        schedule = _spec("source.schedule", build, scfg, **defaults)
+        locals_ = {"uniform": uniform_local, "minimal": minimal_local}
+        local = _choice(cfg, "local", "uniform", locals_, "source.local")
+        return MixtureSource(MixtureModel(params, schedule, local(params.N)))
     raise ConfigError(f"field 'source.type' has unknown value {kind!r}")
 
 
@@ -147,51 +128,17 @@ def load_config(path: str | Path):
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        params = ChainParams(int(_take(cfg, "N", 6)))
-    except ValueError as exc:
-        raise ConfigError(f"field 'N': {exc}")
-    mode = cfg.get("mode", "correlation")
-    if mode not in ("correlation", "anticorrelation"):
-        raise ConfigError(f"field 'mode' has unknown value {mode!r}")
-    pcfg = cfg.get("protocol", {})
-    hcfg = cfg.get("herald", {})
-    ccfg = cfg.get("collisions", {})
-    dcfg = cfg.get("detection", {})
-    try:
-        protocol = ProtocolSpec(
-            blocks=int(_take(pcfg, "blocks", 1398)),
-            block_size=int(_take(pcfg, "block_size", 100)),
-            analyzed_index=int(_take(pcfg, "analyzed_index", 50)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'protocol': {exc}")
-    try:
-        herald = HeraldSpec(
-            g=int(_take(hcfg, "g", 8)),
-            h_thres=int(_take(hcfg, "h_thres", 20)),
-            bright_mean=_take(hcfg, "bright_mean", 30.0),
-            dark_mean=_take(hcfg, "dark_mean", 2.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'herald': {exc}")
-    try:
-        collisions = CollisionSpec(
-            event_rate=_take(ccfg, "event_rate", 0.0),
-            recovery=ccfg.get("recovery", "permanent"),
-            duration=int(_take(ccfg, "duration", 50)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'collisions': {exc}")
-    try:
-        detection = DetectionSpec(
-            model=dcfg.get("model", "ideal"),
-            threshold=int(_take(dcfg, "threshold", 6)),
-            bright_mean=_take(dcfg, "bright_mean", 30.0),
-            dark_mean=_take(dcfg, "dark_mean", 2.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'detection': {exc}")
+    params = _spec("N", ChainParams, cfg, N=6)
+    modes = {"correlation": "correlation", "anticorrelation": "anticorrelation"}
+    mode = _choice(cfg, "mode", "correlation", modes, "mode")
+    protocol = _spec("protocol", ProtocolSpec, cfg.get("protocol", {}),
+                     blocks=1398, block_size=100, analyzed_index=50)
+    herald = _spec("herald", HeraldSpec, cfg.get("herald", {}),
+                   g=8, h_thres=20, bright_mean=30.0, dark_mean=2.0)
+    collisions = _spec("collisions", CollisionSpec, cfg.get("collisions", {}),
+                       event_rate=0.0, recovery="permanent", duration=50)
+    detection = _spec("detection", DetectionSpec, cfg.get("detection", {}),
+                      model="ideal", threshold=6, bright_mean=30.0, dark_mean=2.0)
     seed = int(_take(cfg, "seed", 0))
     source = _build_source(cfg.get("source", {}), params)
     return params, mode, source, protocol, herald, collisions, detection, seed
@@ -223,25 +170,21 @@ def cmd_simulate(args) -> int:
         seed=seed,
     )
     write_log(args.out, header, records)
-    heralded = sum(r.heralded for r in records)
-    print(f"wrote {len(records)} trials ({heralded} heralded) to {args.out}")
+    print(f"wrote {len(records)} trials ({records.heralded.sum()} heralded) to {args.out}")
     return EXIT_OK
 
 
 def _load_estimation_input(args):
     """(params, mode, stats, heralding_applied, label) from a log or fixture."""
     if args.fixture:
-        name = args.fixture
-        if name == "table_n3_phi_minus":
-            params, mode, stats = fixtures.pair_stats_n3()
-        elif name == "table_n8_phi_plus":
-            params, mode, stats = fixtures.pair_stats_n8()
-        elif name == "table_n6_randomized":
-            which = getattr(args, "which", "all")
-            params, mode, stats = fixtures.pair_stats_n6(which)
-        else:
-            raise LogFormatError(f"fixture {name!r} is not a trial table")
-        return params, mode, stats, False, f"fixture {name}"
+        loaders = {
+            "table_n3_phi_minus": fixtures.pair_stats_n3,
+            "table_n8_phi_plus": fixtures.pair_stats_n8,
+            "table_n6_randomized": lambda: fixtures.pair_stats_n6(getattr(args, "which", "all")),
+        }
+        if args.fixture not in loaders:
+            raise LogFormatError(f"fixture {args.fixture!r} is not a trial table")
+        return (*loaders[args.fixture](), False, f"fixture {args.fixture}")
     header, records = read_log(args.log)
     params = ChainParams(header.N)
     include = getattr(args, "include_unheralded", False)
@@ -252,17 +195,13 @@ def _load_estimation_input(args):
 def cmd_estimate(args) -> int:
     try:
         params, mode, stats, herald_filter, label = _load_estimation_input(args)
-    except (LogFormatError, OSError) as exc:
+        est = chain_estimate_from_stats(stats, params, mode) if stats else None
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if not stats:
+    if est is None:
         print("no data: log contains no usable trials")
         return EXIT_OK
-    try:
-        est = chain_estimate_from_stats(stats, params, mode)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     lines = [
         f"input: {label}",
         f"N = {params.N}  mode = {mode}  trials = {est.n_trials}",
@@ -299,6 +238,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_certify(args) -> int:
     alphas = args.alpha or [0.05]
+    if not all(0.0 < alpha < 1.0 for alpha in alphas):
+        print(f"error: every alpha must be in (0, 1), got {alphas}", file=sys.stderr)
+        return EXIT_USAGE
     if args.fixture:
         if args.fixture != "table_n6_randomized":
             print(
@@ -312,31 +254,18 @@ def cmd_certify(args) -> int:
     else:
         try:
             header, records = read_log(args.log)
-        except (LogFormatError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        if header.blocks <= 0:
-            print(
-                "error: log has no randomized-block metadata; certification "
-                "requires the randomized protocol",
-                file=sys.stderr,
-            )
-            return EXIT_DATA
-        params = ChainParams(header.N)
-        protocol = ProtocolSpec(
-            blocks=header.blocks,
-            block_size=header.block_size,
-            analyzed_index=header.analyzed_index,
-        )
-        try:
+            if header.blocks <= 0:
+                raise LogFormatError(
+                    "log has no randomized-block metadata; certification "
+                    "requires the randomized protocol"
+                )
+            protocol = ProtocolSpec(header.blocks, header.block_size, header.analyzed_index)
             selection = extract_analysis_trials(records, protocol)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        t = sum(t_statistic(r, params, header.mode) for r in selection.trials)
-        n = selection.n
-        N = header.N
-        label = args.log
+        t = int(t_statistic(selection.trials, ChainParams(header.N), header.mode).sum())
+        n, N, label = selection.n, header.N, args.log
     lines = [
         f"input: {label}",
         f"analyzed trials n = {n}, score sum t = {t}, N = {N}",
@@ -393,6 +322,9 @@ def cmd_fidelity(args) -> int:
 def cmd_sweep(args) -> int:
     if args.n_min < 2:
         print("error: N must be >= 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trials < 0:
+        print("error: --trials must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     for N in range(args.n_min, args.n_max + 1):

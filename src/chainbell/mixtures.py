@@ -10,14 +10,12 @@ minimum; the certification machinery bounds exactly that minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chain import BRIGHT, DARK, ChainParams, SettingPair, is_closing_pair, settings_set
-
-_OUTCOME_INDEX = {(BRIGHT, BRIGHT): 0, (BRIGHT, DARK): 1, (DARK, BRIGHT): 2, (DARK, DARK): 3}
+from .chain import BRIGHT, DARK, OUTCOMES, ChainParams, SettingPair, is_closing_pair, settings_set
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class DeterministicStrategy:
         probs = np.zeros(4)
         x = self.a_outcomes[pair.a_index]
         y = self.b_outcomes[pair.b_index]
-        probs[_OUTCOME_INDEX[(x, y)]] = 1.0
+        probs[OUTCOMES.index((x, y))] = 1.0
         return probs
 
 
@@ -105,21 +103,6 @@ class ChainPRBox:
         return np.array([0.0, 0.5, 0.5, 0.0])
 
 
-class QuantumDistribution:
-    """Adapter presenting a (possibly noisy) two-qubit state as a distribution."""
-
-    def __init__(self, state: np.ndarray, noise=None):
-        from .quantum import NoiseSpec, apply_noise, joint_probabilities
-
-        self._state = np.asarray(state, dtype=complex)
-        self._noise = noise if noise is not None else NoiseSpec()
-        self._joint = joint_probabilities
-        self._apply_noise = apply_noise
-
-    def probabilities(self, pair: SettingPair) -> np.ndarray:
-        return self._apply_noise(self._joint(self._state, pair), self._noise)
-
-
 def check_nonsignaling(dist, params: ChainParams, tol: float = 1e-12) -> None:
     """Raise if any party's marginal depends on the remote setting choice."""
     a_marg: dict[int, np.ndarray] = {}
@@ -140,12 +123,11 @@ def check_nonsignaling(dist, params: ChainParams, tol: float = 1e-12) -> None:
 
 # A schedule maps the history of past trial scores (0/1) to this trial's
 # local weight.  Each schedule declares the minimum weight it can emit.
-Schedule = Callable[[Sequence[int]], float]
 
 
 @dataclass
 class ConstantSchedule:
-    q: float
+    q: float = 1.0
 
     @property
     def p_min(self) -> float:
@@ -159,9 +141,9 @@ class ConstantSchedule:
 class RampSchedule:
     """Linear drift from q0 to q1 over n_trials trials."""
 
-    q0: float
-    q1: float
-    n_trials: int
+    q0: float = 0.0
+    q1: float = 1.0
+    n_trials: int = 1000
 
     @property
     def p_min(self) -> float:
@@ -205,8 +187,8 @@ class OutcomeReactiveSchedule:
 class BlockPeriodicSchedule:
     """Sinusoidal drift between q_min and q_max with the given period."""
 
-    q_min: float
-    q_max: float
+    q_min: float = 0.3
+    q_max: float = 1.0
     period: int = 100
 
     @property
@@ -267,13 +249,6 @@ class MixtureModel:
         return p * self.local.probabilities(pair) + (1.0 - p) * (
             self.nonlocal_dist.probabilities(pair)
         )
-
-
-def mixture_probabilities(
-    model: MixtureModel, pair: SettingPair, history: Sequence[int] = ()
-) -> np.ndarray:
-    """Outcome probabilities of a mixture model for one trial."""
-    return model.probabilities(pair, history)
 
 
 def distribution_chain_value(dist, params: ChainParams) -> float:

@@ -13,17 +13,18 @@ generation cannot cross-talk between streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from .chain import (
-    BRIGHT,
-    DARK,
+    OUTCOMES,
     ChainParams,
     SettingPair,
+    TrialLog,
     TrialRecord,
+    as_trial_log,
     settings_set,
     t_statistic,
 )
@@ -34,8 +35,6 @@ from .mixtures import (
     OutcomeReactiveSchedule,
     RampSchedule,
 )
-
-_OUTCOMES = ((BRIGHT, BRIGHT), (BRIGHT, DARK), (DARK, BRIGHT), (DARK, DARK))
 
 
 @dataclass(frozen=True)
@@ -173,20 +172,12 @@ def _ion_status(total: int, collisions: CollisionSpec, rng: np.random.Generator)
     healthy = np.ones(total, dtype=bool)
     if collisions.event_rate == 0.0 or total == 0:
         return healthy
-    events = rng.random(total) < collisions.event_rate
-    dead_until = -1
-    dead_forever = False
-    for i in range(total):
-        if dead_forever or i <= dead_until:
-            healthy[i] = False
-        if events[i]:
-            if collisions.recovery == "permanent":
-                dead_forever = True
-                healthy[i] = False
-            else:
-                dead_until = max(dead_until, i + collisions.duration)
-                healthy[i] = False
-    return healthy
+    events = np.cumsum(rng.random(total) < collisions.event_rate)
+    if collisions.recovery == "permanent":
+        return events == 0
+    # A transient event darkens its own trial and the `duration` trials after it.
+    span = max(collisions.duration, 0) + 1
+    return events == np.concatenate([np.zeros(span, dtype=events.dtype), events])[:total]
 
 
 def _detect_outcomes(
@@ -225,7 +216,7 @@ def run_protocol(
     collisions: CollisionSpec = CollisionSpec(),
     detection: DetectionSpec = DetectionSpec(),
     seed: int = 0,
-) -> list[TrialRecord]:
+) -> TrialLog:
     """Generate a full randomized-block trial log.
 
     Identical (source, params, specs, seed) reproduce the log bit-for-bit.
@@ -254,62 +245,43 @@ def run_protocol(
     checks = count_rng.poisson(per_check_mean)
     flags = herald_flags(checks, herald)
 
-    probs_by_pair = None
     if not source.history_dependent:
         probs_by_pair = np.array(
             [source.outcome_probabilities(p, ()) for p in pairs], dtype=float
         )
-
-    records: list[TrialRecord] = []
-    if probs_by_pair is not None:
         cdf = np.cumsum(probs_by_pair, axis=1)
         u = outcome_rng.random(total)
         out_idx = (u[:, None] > cdf[pair_idx]).sum(axis=1)
         out_idx = np.where(healthy, out_idx, 3)  # dark ions read DD
         out_idx = _detect_outcomes(out_idx, detection, detect_rng)
-        for q in range(total):
-            x, y = _OUTCOMES[out_idx[q]]
-            records.append(
-                TrialRecord(
-                    trial_index=q,
-                    block_index=q // protocol.block_size,
-                    pair=pairs[pair_idx[q]],
-                    outcome_a=x,
-                    outcome_b=y,
-                    heralded=bool(flags[q]),
-                    check_counts=tuple(int(c) for c in checks[q : q + herald.g]),
-                )
-            )
     else:
+        # Score every (pair, outcome) once; the schedule's history looks them up.
+        scores = [[t_statistic(TrialRecord(0, 0, p, x, y), params) for x, y in OUTCOMES]
+                  for p in pairs]
+        out_idx = np.empty(total, dtype=np.uint8)
         history: list[int] = []
-        for q in range(total):
-            pair = pairs[pair_idx[q]]
+        for q, j in enumerate(pair_idx.tolist()):
             if healthy[q]:
-                p = np.asarray(source.outcome_probabilities(pair, history), dtype=float)
+                p = np.asarray(source.outcome_probabilities(pairs[j], history), dtype=float)
                 idx = int(outcome_rng.choice(4, p=p / p.sum()))
             else:
                 idx = 3
             idx = int(_detect_outcomes(np.array([idx]), detection, detect_rng)[0])
-            x, y = _OUTCOMES[idx]
-            rec = TrialRecord(
-                trial_index=q,
-                block_index=q // protocol.block_size,
-                pair=pair,
-                outcome_a=x,
-                outcome_b=y,
-                heralded=bool(flags[q]),
-                check_counts=tuple(int(c) for c in checks[q : q + herald.g]),
-            )
-            records.append(rec)
-            history.append(t_statistic(rec, params))
-    return records
+            out_idx[q] = idx
+            history.append(scores[j][idx])
+    trial_index = np.arange(total)
+    return TrialLog(
+        tuple(pairs), trial_index, trial_index // protocol.block_size,
+        pair_idx.astype(np.min_scalar_type(n_pairs)), out_idx.astype(np.uint8), flags,
+        checks, trial_index, herald.g,
+    )
 
 
 @dataclass
 class AnalysisSelection:
     """The analyzed trial of each block, after herald filtering."""
 
-    trials: list[TrialRecord]
+    trials: TrialLog
     blocks: int
     discarded_unheralded: int
 
@@ -319,24 +291,34 @@ class AnalysisSelection:
 
 
 def extract_analysis_trials(
-    log: Sequence[TrialRecord], protocol: ProtocolSpec
+    log: TrialLog | Iterable[TrialRecord], protocol: ProtocolSpec
 ) -> AnalysisSelection:
-    """Select the analyzed_index-th trial of each block, keeping heralded ones."""
-    by_block: dict[int, list[TrialRecord]] = {}
-    for rec in log:
-        by_block.setdefault(rec.block_index, []).append(rec)
-    chosen: list[TrialRecord] = []
-    discarded = 0
-    for block in sorted(by_block):
-        trials = by_block[block]
-        if len(trials) < protocol.analyzed_index:
-            raise ValueError(
-                f"block {block} has {len(trials)} trials, fewer than "
-                f"analyzed_index {protocol.analyzed_index}"
-            )
-        rec = trials[protocol.analyzed_index - 1]
-        if rec.heralded:
-            chosen.append(rec)
-        else:
-            discarded += 1
-    return AnalysisSelection(trials=chosen, blocks=len(by_block), discarded_unheralded=discarded)
+    """Select the pre-registered trial of each block, keeping heralded ones.
+
+    The log must hold trials 0 .. blocks * block_size - 1 in order, trial q in
+    block q // block_size; block b's analyzed trial is b * block_size + analyzed_index - 1.
+    """
+    log = as_trial_log(log)
+    size = protocol.block_size
+    expected = np.arange(protocol.blocks * size)
+    if len(log) != len(expected):
+        relation = "fewer" if len(log) < len(expected) else "more"
+        raise ValueError(
+            f"log has {len(log)} trials, {relation} than blocks x block_size = {len(expected)}"
+        )
+    misplaced = np.flatnonzero(
+        (log.trial_index != expected) | (log.block_index != expected // size)
+    )
+    if misplaced.size:
+        i = misplaced[0]
+        raise ValueError(
+            f"row {i} holds trial {log.trial_index[i]} of block {log.block_index[i]}, "
+            f"expected trial {i} of block {i // size}: trials are missing, "
+            f"duplicated or out of order"
+        )
+    analyzed = log.trial_index == log.block_index * size + protocol.analyzed_index - 1
+    return AnalysisSelection(
+        trials=log[analyzed & log.heralded],
+        blocks=protocol.blocks,
+        discarded_unheralded=int((analyzed & ~log.heralded).sum()),
+    )

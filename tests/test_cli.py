@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -192,3 +193,94 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli("frobnicate") == 1
+
+
+def _simulate(tmp_path, cfg, name="run"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    log = tmp_path / f"{name}.log"
+    assert run_cli("simulate", str(path), str(log)) == 0
+    return log
+
+
+def _edit_log(log, edit):
+    """Rewrite a log's record lines with ``edit`` and fix its trials header."""
+    lines = log.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    records = edit([line for line in lines if not line.startswith("#")])
+    header = [f"# trials: {len(records)}" if h.startswith("# trials:") else h for h in header]
+    log.write_text("\n".join(header + records) + "\n")
+
+
+class TestPreRegisteredSelection:
+    CFG = {"N": 3, "seed": 4, "protocol": {"blocks": 20, "block_size": 3, "analyzed_index": 2}}
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:1] + rows[2:],                      # trial 1 dropped
+        lambda rows: rows[:1] + rows[1:2] * 2 + rows[3:],      # trial 1 twice, trial 2 gone
+        lambda rows: [rows[0], rows[2], rows[1], *rows[3:]],   # trials 1 and 2 swapped
+        lambda rows: rows + rows[-3:],                         # one block more than the header
+    ])
+    def test_misplaced_trials_are_data_errors(self, tmp_path, capsys, edit):
+        log = _simulate(tmp_path, self.CFG)
+        _edit_log(log, edit)
+        capsys.readouterr()
+        assert run_cli("certify", str(log)) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_untouched_log_certifies(self, tmp_path):
+        log = _simulate(tmp_path, self.CFG)
+        _edit_log(log, lambda rows: rows)
+        assert run_cli("certify", str(log)) == 0
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan", "x"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, alpha, capsys):
+        code = run_cli("certify", "--fixture", "table_n6_randomized", f"--alpha={alpha}")
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("N", "six"), ("N", "1"), ("trials", "many"), ("blocks", "2.5"), ("block_size", "x"),
+    ])
+    def test_bad_header_field_is_data_error(self, tmp_path, small_config, capsys, key, value):
+        log = tmp_path / "run.log"
+        run_cli("simulate", str(small_config), str(log))
+        lines = log.read_text().splitlines()
+        lines = [f"# {key}: {value}" if line.startswith(f"# {key}:") else line for line in lines]
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("estimate", str(log)) == 2
+        assert run_cli("certify", str(log)) == 2
+        assert key in capsys.readouterr().err
+
+    def test_negative_sweep_trials_is_usage_error(self, tmp_path):
+        out = tmp_path / "s.tsv"
+        assert run_cli("sweep", str(out), "--n-max", "3", "--trials", "-5") == 1
+        assert not out.exists()
+
+
+class TestGoldenRuns:
+    """Log bytes, I_N and (t, n) of two runs, pinned from the per-record implementation."""
+
+    @pytest.mark.parametrize("cfg, digest, value, stderr, score", [
+        ({"N": 6, "seed": 21, "protocol": {"blocks": 200, "block_size": 10, "analyzed_index": 4},
+          "collisions": {"event_rate": 0.01, "recovery": "transient", "duration": 20},
+          "detection": {"model": "counts", "threshold": 6, "bright_mean": 30, "dark_mean": 2}},
+         "f7d1694fcc4f2035c78aa9c1a3ad24f8bff6bb59f84f6329dca0807b3d511c52", 1.0314, 0.0885, (141, 154)),
+        ({"N": 6, "seed": 22,
+          "source": {"type": "mixture", "local": "minimal",
+                     "schedule": {"type": "outcome_reactive", "base": 0.5, "step": 0.1, "run_length": 3}},
+          "protocol": {"blocks": 100, "block_size": 10, "analyzed_index": 5}},
+         "7c84106088f0780f07b3bbc6104249c38b05772942c990888cd98c4b41171afa", 0.5778, 0.0524, (94, 100)),
+    ])
+    def test_simulate_estimate_certify(self, tmp_path, cfg, digest, value, stderr, score):
+        log = _simulate(tmp_path, cfg)
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
+        assert run_cli("estimate", str(log), "--json", str(tmp_path / "e.json")) == 0
+        est = json.loads((tmp_path / "e.json").read_text())
+        assert (round(est["value"], 4), round(est["stderr"], 4)) == (value, stderr)
+        assert run_cli("certify", str(log), "--json", str(tmp_path / "c.json")) == 0
+        cert = json.loads((tmp_path / "c.json").read_text())
+        assert (cert["t"], cert["n"]) == score

@@ -15,7 +15,6 @@ from chainbell import (
     check_nonsignaling,
     distribution_chain_value,
     minimal_local,
-    mixture_probabilities,
     settings_set,
     uniform_local,
 )
@@ -107,13 +106,13 @@ class TestMixtureModel:
         model = MixtureModel(params, Cheater())
         pair = settings_set(params)[0]
         with pytest.raises(ValueError, match="outside"):
-            mixture_probabilities(model, pair)
+            model.probabilities(pair)
 
     def test_probabilities_are_distributions(self):
         params = ChainParams(4)
         model = MixtureModel(params, ConstantSchedule(0.3), local=minimal_local(4))
         for pair in settings_set(params):
-            p = mixture_probabilities(model, pair)
+            p = model.probabilities(pair)
             assert p.sum() == pytest.approx(1.0)
             assert np.all(p >= 0)
 

@@ -217,6 +217,19 @@ class TestExtraction:
         with pytest.raises(ValueError, match="fewer than"):
             extract_analysis_trials(log[:-1], protocol)
 
+    def test_selects_by_trial_index(self):
+        protocol = ProtocolSpec(blocks=4, block_size=3, analyzed_index=2)
+        log = run_protocol(QuantumSource(phi_plus()), ChainParams(2), protocol, seed=2)
+        order = np.arange(len(log))
+        with pytest.raises(ValueError, match="fewer than"):
+            extract_analysis_trials(log[order != 1], protocol)
+        swapped = order.copy()
+        swapped[[1, 2]] = [2, 1]
+        with pytest.raises(ValueError, match="out of order"):
+            extract_analysis_trials(log[swapped], protocol)
+        with pytest.raises(ValueError, match="duplicated"):
+            extract_analysis_trials(log[np.where(order == 2, 1, order)], protocol)
+
     def test_all_unheralded_gives_empty(self):
         protocol = ProtocolSpec(blocks=20, block_size=2, analyzed_index=2)
         log = run_protocol(
